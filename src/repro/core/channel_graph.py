@@ -53,6 +53,12 @@ RouteFn = Callable[[Optional[Channel], NodeId, NodeId], Iterable[Channel]]
 #: One dependency edge of the exact channel dependency graph.
 _Edge = Tuple[Channel, Channel]
 
+#: A dependency as first realized, on integer ids: (destination, position
+#: of the requested channel in the relation's offer for it, requested
+#: channel).  Sorting one channel's dependencies by it replays the order
+#: a per-destination search would first add them in.
+_FirstUse = Tuple[int, int, int]
+
 
 @dataclass(frozen=True)
 class CycleWitness:
@@ -177,45 +183,168 @@ def routing_cdg(
 ) -> Digraph[Channel]:
     """Exact dependency graph of a routing relation.
 
-    Only realizable dependencies are included: for each destination, the
-    set of channels a packet bound for that destination can actually hold
-    is computed by forward closure from every source, and edges are added
-    along the way.
+    Only realizable dependencies are included: channel ``a`` depends on
+    channel ``b`` when, for some destination ``d``, a packet bound for
+    ``d`` can hold ``a`` (it is reachable by forward closure from every
+    source) and the relation offers ``b`` at ``a``'s head.
+
+    The closure runs on integer ids for all destinations at once:
+    ``held[c]`` is the bitmask of destinations whose packets can hold
+    channel ``c``, seeded from the ``N**2`` first hops
+    ``route_fn(None, s, d)``.  When ``route_fn`` declares
+    ``uses_in_channel = False`` no further calls are needed: the
+    fixpoint ``held[b] |= held[a] & offer[dst(a)][b]`` finishes the
+    closure, where ``offer[n][b]`` masks the destinations for which the
+    relation offers ``b`` at node ``n``.  Any other relation is expanded
+    lazily, once per reachable (channel, destination) pair.
+
+    The graph's vertex order, each channel's successor order and the
+    recorded example destinations are those of a per-destination
+    breadth-first search in ``topology.nodes()`` order, so numberings and
+    cycle witnesses derived from the graph do not depend on the closure
+    strategy.
 
     Args:
         topology: the network.
         route_fn: the routing relation.
         edge_dests: when given, filled with one example destination per
-            dependency edge (the first destination whose closure added
-            it), so cycle witnesses can show which packets realize each
-            dependency.
+            dependency edge (the first destination, in node order, that
+            realizes it), so cycle witnesses can show which packets
+            realize each dependency.
+
+    Raises:
+        ValueError: if ``route_fn`` offers a channel that is not one of
+            ``topology.channels()`` (a dead channel, a foreign lane): the
+            graph would then describe a different network.
     """
-    graph: Digraph[Channel] = Digraph()
-    for channel in topology.channels():
-        graph.add_vertex(channel)
-    for dest in topology.nodes():
-        frontier: deque[Channel] = deque()
-        reached: set[Channel] = set()
-        for source in topology.nodes():
-            if source == dest:
-                continue
-            for first in route_fn(None, source, dest):
-                if first not in reached:
-                    reached.add(first)
-                    frontier.append(first)
-        while frontier:
-            in_channel = frontier.popleft()
-            node = in_channel.dst
-            if node == dest:
-                continue
-            for out_channel in route_fn(in_channel, node, dest):
-                graph.add_edge(in_channel, out_channel)
-                if edge_dests is not None:
-                    edge_dests.setdefault((in_channel, out_channel), dest)
-                if out_channel not in reached:
-                    reached.add(out_channel)
-                    frontier.append(out_channel)
-    return graph
+    channels = topology.channels()
+    nodes = list(topology.nodes())
+    lookup = {channel: i for i, channel in enumerate(channels)}.get
+    node_ids = {node: i for i, node in enumerate(nodes)}
+    heads = [node_ids[channel.dst] for channel in channels]
+
+    def offered(in_channel: Optional[Channel], node: NodeId, dest: NodeId) -> Tuple[int, ...]:
+        outs = tuple(route_fn(in_channel, node, dest))
+        ids = tuple([lookup(channel, -1) for channel in outs])
+        if -1 in ids:
+            raise ValueError(
+                f"routing relation offers {outs[ids.index(-1)]} at node {node} "
+                f"toward {dest} (arrived on {in_channel}), but it is not a "
+                f"channel of {topology!r}"
+            )
+        return ids
+
+    # routes[n] maps each distinct first-hop offer at node n to the mask
+    # of destinations it is offered for.
+    routes: List[Dict[Tuple[int, ...], int]] = [{} for _ in nodes]
+    for d, dest in enumerate(nodes):
+        bit = 1 << d
+        for s, source in enumerate(nodes):
+            if s != d:
+                row = routes[s]
+                ids = offered(None, source, dest)
+                row[ids] = row.get(ids, 0) | bit
+    held = [0] * len(channels)
+    for row in routes:
+        for ids, mask in row.items():
+            for b in ids:
+                held[b] |= mask
+
+    if getattr(route_fn, "uses_in_channel", True):
+        firsts = _expand_lazily(channels, nodes, heads, held, offered)
+    else:
+        firsts = _close_in_channel_free(routes, heads, held)
+
+    successors: Dict[Channel, List[Channel]] = {}
+    for a, channel in enumerate(channels):
+        found = sorted(firsts[a])
+        successors[channel] = [channels[b] for _, _, b in found]
+        if edge_dests is not None:
+            for d, _, b in found:
+                edge_dests.setdefault((channel, channels[b]), nodes[d])
+    return Digraph.from_successors(successors)
+
+
+def _close_in_channel_free(
+    routes: List[Dict[Tuple[int, ...], int]],
+    heads: List[int],
+    held: List[int],
+) -> List[List[_FirstUse]]:
+    """Destination-mask fixpoint for relations that ignore ``in_channel``.
+
+    No ``route_fn`` calls beyond the first-hop table: a packet's offer
+    at a node depends only on the node and its destination.
+    """
+    offer: List[Dict[int, int]] = []
+    for row in routes:
+        masks: Dict[int, int] = {}
+        for ids, mask in row.items():
+            for b in ids:
+                masks[b] = masks.get(b, 0) | mask
+        offer.append(masks)
+    pending = deque(a for a, mask in enumerate(held) if mask)
+    queued = [bool(mask) for mask in held]
+    while pending:
+        a = pending.popleft()
+        queued[a] = False
+        mask = held[a]
+        for b, dests in offer[heads[a]].items():
+            new = mask & dests & ~held[b]
+            if new:
+                held[b] |= new
+                if not queued[b]:
+                    queued[b] = True
+                    pending.append(b)
+    firsts: List[List[_FirstUse]] = []
+    for a, mask in enumerate(held):
+        node = heads[a]
+        row = routes[node]
+        found: List[_FirstUse] = []
+        for b, dests in offer[node].items():
+            realized = mask & dests
+            if realized:
+                low = realized & -realized
+                ids = next(ids for ids, m in row.items() if m & low)
+                found.append((low.bit_length() - 1, ids.index(b), b))
+        firsts.append(found)
+    return firsts
+
+
+def _expand_lazily(
+    channels: List[Channel],
+    nodes: List[NodeId],
+    heads: List[int],
+    held: List[int],
+    offered: Callable[[Optional[Channel], NodeId, NodeId], Tuple[int, ...]],
+) -> List[List[_FirstUse]]:
+    """Closure for relations that read ``in_channel``.
+
+    Each reachable (channel, destination) pair is expanded by exactly
+    one ``route_fn`` call, whatever order the worklist reaches it in.
+    """
+    done = [1 << node for node in heads]  # packets at their destination stop
+    first_use: List[Dict[int, Tuple[int, int]]] = [{} for _ in channels]
+    pending = deque(a for a, mask in enumerate(held) if mask)
+    queued = [bool(mask) for mask in held]
+    while pending:
+        a = pending.popleft()
+        queued[a] = False
+        todo = held[a] & ~done[a]
+        done[a] |= todo
+        channel, node, uses = channels[a], nodes[heads[a]], first_use[a]
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            d = bit.bit_length() - 1
+            for pos, b in enumerate(offered(channel, node, nodes[d])):
+                if b not in uses or (d, pos) < uses[b]:
+                    uses[b] = (d, pos)
+                if not held[b] & bit:
+                    held[b] |= bit
+                    if not queued[b]:
+                        queued[b] = True
+                        pending.append(b)
+    return [[(d, pos, b) for b, (d, pos) in uses.items()] for uses in first_use]
 
 
 def find_dependency_cycle(

@@ -21,6 +21,18 @@ class Digraph(Generic[V]):
     def __init__(self) -> None:
         self._succ: Dict[V, Set[V]] = {}
 
+    @classmethod
+    def from_successors(cls, successors: Dict[V, List[V]]) -> "Digraph[V]":
+        """The graph with ``successors``' keys as vertices, in key order.
+
+        Each vertex's successor set is filled in list order, so it
+        iterates exactly as the same sequence of :meth:`add_edge` calls
+        would leave it.  Every listed successor must itself be a key.
+        """
+        graph: Digraph[V] = cls()
+        graph._succ = {v: set(targets) for v, targets in successors.items()}
+        return graph
+
     def add_vertex(self, v: V) -> None:
         """Add ``v`` if not already present."""
         self._succ.setdefault(v, set())

@@ -1,12 +1,12 @@
-"""Registry-invariant rules absorbed from ``scripts/lint_registry.py``.
+"""Registry-invariant rules.
 
-The four checks the ad-hoc registry linter enforced since the static
-certification suite landed, re-expressed as framework rules so they
-share the pragma/report/CI machinery with the determinism rules:
+Four checks on the routing registry and the API surface, sharing the
+pragma/report/CI machinery with the determinism rules:
 
 1. ``uses-in-channel`` — every routing class declares
-   ``uses_in_channel`` in its own body (the route cache keys on it;
-   a silently inherited value corrupts cached decisions).
+   ``uses_in_channel`` in its own body (the route cache and the
+   dependency-graph builder key on it; a silently inherited value
+   corrupts cached decisions and deadlock proofs).
 2. ``registry-canonical`` — every ``_FACTORIES`` key is already
    canonical (lookups canonicalize before indexing, so a non-canonical
    key is unreachable).

@@ -1,5 +1,7 @@
 """Tests for channel dependency graphs and the Dally-Seitz deadlock test."""
 
+from collections import deque
+
 import pytest
 
 from repro.core.channel_graph import (
@@ -9,6 +11,7 @@ from repro.core.channel_graph import (
     routing_cdg,
     turn_cdg,
 )
+from repro.core.digraph import Digraph
 from repro.core.restrictions import (
     figure4_restriction,
     fully_adaptive,
@@ -18,7 +21,16 @@ from repro.core.restrictions import (
     xy_restriction,
 )
 from repro.routing import make_routing
+from repro.routing.registry import available_algorithms
+from repro.routing.virtual_channels import DatelineTorusRouting, o1turn_routing
+from repro.sim.deadlock import figure4_routing, unrestricted_adaptive_routing
+from repro.synth.certify import candidate_target
+from repro.synth.enumeration import enumerate_candidates
 from repro.topology import Mesh, Mesh2D, Torus
+from repro.topology.channels import Channel
+from repro.topology.faults import FaultyTopology
+from repro.topology.spec import parse_topology
+from repro.topology.virtual import VirtualChannelTopology
 
 
 class TestTurnCDG:
@@ -124,3 +136,126 @@ class TestRoutingCDG:
     def test_xy_routing_cdg_edge_count_positive(self, mesh44):
         graph = routing_cdg(mesh44, make_routing("xy", mesh44))
         assert graph.num_edges > 0
+
+
+def reference_cdg(topology, route_fn, edge_dests=None):
+    """The per-destination breadth-first builder, kept as the oracle.
+
+    One forward closure per destination over ``Channel`` objects, edges
+    added as they are found: the definition :func:`routing_cdg` must
+    reproduce exactly, down to vertex and successor iteration order.
+    """
+    graph = Digraph()
+    for channel in topology.channels():
+        graph.add_vertex(channel)
+    for dest in topology.nodes():
+        frontier = deque()
+        reached = set()
+        for source in topology.nodes():
+            if source == dest:
+                continue
+            for first in route_fn(None, source, dest):
+                if first not in reached:
+                    reached.add(first)
+                    frontier.append(first)
+        while frontier:
+            in_channel = frontier.popleft()
+            node = in_channel.dst
+            if node == dest:
+                continue
+            for out_channel in route_fn(in_channel, node, dest):
+                graph.add_edge(in_channel, out_channel)
+                if edge_dests is not None:
+                    edge_dests.setdefault((in_channel, out_channel), dest)
+                if out_channel not in reached:
+                    reached.add(out_channel)
+                    frontier.append(out_channel)
+    return graph
+
+
+def assert_same_cdg(topology, route_fn):
+    """``routing_cdg`` and the oracle agree on everything callers read."""
+    fast_dests, slow_dests = {}, {}
+    fast = routing_cdg(topology, route_fn, edge_dests=fast_dests)
+    slow = reference_cdg(topology, route_fn, edge_dests=slow_dests)
+    assert fast.vertices() == slow.vertices()
+    # edges() walks each vertex's successor set in iteration order.
+    assert list(fast.edges()) == list(slow.edges())
+    assert fast_dests == slow_dests
+    assert fast.find_cycle() == slow.find_cycle()
+    assert fast.shortest_cycle() == slow.shortest_cycle()
+    if slow.is_acyclic():
+        assert fast.topological_order() == slow.topological_order()
+
+
+def _registry_cases():
+    for spec in ("mesh:4x4", "mesh:8x8", "cube:4", "torus:4x2"):
+        for name in available_algorithms(parse_topology(spec)):
+            yield pytest.param(spec, name, id=f"{spec}/{name}")
+
+
+def _extra_cases():
+    mesh4, mesh5 = Mesh2D(4, 4), Mesh2D(5, 5)
+    vc_mesh = VirtualChannelTopology(Mesh2D(4, 4), lanes=2)
+    vc_torus = VirtualChannelTopology(Torus(4, 2), lanes=2)
+    yield pytest.param(lambda: (vc_mesh, o1turn_routing(vc_mesh)), id="mesh:4x4+2vc/o1turn")
+    yield pytest.param(
+        lambda: (vc_torus, DatelineTorusRouting(vc_torus)), id="torus:4x2+2vc/dateline-dor"
+    )
+    yield pytest.param(
+        lambda: (mesh4, unrestricted_adaptive_routing(mesh4)), id="figure1/unrestricted"
+    )
+    yield pytest.param(lambda: (mesh5, figure4_routing(mesh5)), id="figure4/faulty")
+    candidates, _ = enumerate_candidates(2)
+    for index, prohibited in enumerate(candidates):
+        yield pytest.param(
+            lambda p=prohibited: (mesh4, candidate_target(mesh4, "mesh:4x4", p).routing),
+            id=f"synth2-census-{index}",
+        )
+
+
+class TestBuilderIdentity:
+    """The all-destinations closure is the per-destination BFS, bit for bit."""
+
+    @pytest.mark.parametrize("spec,name", list(_registry_cases()))
+    def test_registry_algorithm(self, spec, name):
+        topology = parse_topology(spec)
+        assert_same_cdg(topology, make_routing(name, topology))
+
+    @pytest.mark.parametrize("build", list(_extra_cases()))
+    def test_fixture(self, build):
+        topology, routing = build()
+        assert_same_cdg(topology, routing)
+
+    def test_plain_function_relation(self, mesh44):
+        # A bare callable has no uses_in_channel and takes the lazy path.
+        xy = make_routing("xy", mesh44)
+        assert_same_cdg(mesh44, lambda c, n, d: list(xy.route(c, n, d)))
+
+
+class TestMismatchedRoutes:
+    """A relation offering a channel the topology lacks is an error."""
+
+    def test_dead_channel_on_faulty_topology(self, mesh44):
+        healthy = make_routing("xy", mesh44)  # declares uses_in_channel=False
+        dead = healthy.route(None, (1, 1), (3, 1))[0]
+        faulty = FaultyTopology(mesh44, [dead])
+        with pytest.raises(ValueError, match=r"\(1, 1\)->\(2, 1\).*not a channel"):
+            routing_cdg(faulty, healthy)
+
+    def test_foreign_lane_named_with_node_and_dest(self, mesh44):
+        # Offered only after an arrival, so the lazy expansion meets it.
+        xy = make_routing("xy", mesh44)
+
+        def leaky(in_channel, node, dest):
+            outs = list(xy.route(in_channel, node, dest))
+            if in_channel is not None and node == (2, 0) and dest == (3, 0):
+                outs.append(Channel(outs[0].src, outs[0].dst, outs[0].direction, lane=1))
+            return outs
+
+        with pytest.raises(ValueError) as info:
+            routing_cdg(mesh44, leaky)
+        message = str(info.value)
+        assert "(2, 0)->(3, 0)#1" in message
+        assert "at node (2, 0)" in message
+        assert "toward (3, 0)" in message
